@@ -47,14 +47,4 @@ ProcessFacts facts_from_engine(const MdcdEngine& engine,
   return facts;
 }
 
-GlobalState global_state_from_records(
-    const std::vector<CheckpointRecord>& records) {
-  GlobalState state;
-  state.processes.reserve(records.size());
-  for (const auto& rec : records) {
-    state.processes.push_back(facts_from_record(rec));
-  }
-  return state;
-}
-
 }  // namespace synergy

@@ -43,8 +43,4 @@ ProcessFacts facts_from_record(const CheckpointRecord& record);
 /// Extract facts from a live engine (post-recovery audits).
 ProcessFacts facts_from_engine(const MdcdEngine& engine, TimePoint state_time);
 
-/// Assemble a global state from one record per process.
-GlobalState global_state_from_records(
-    const std::vector<CheckpointRecord>& records);
-
 }  // namespace synergy

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "analysis/checkers.hpp"
-#include "analysis/global_state.hpp"
 #include "common/assert.hpp"
 
 namespace synergy {
@@ -37,95 +35,12 @@ std::optional<StableSeq> common_valid_line(
   return std::nullopt;
 }
 
-std::optional<StableSeq> common_restorable_line(
-    const std::vector<ProcessNode*>& nodes) {
-  StableSeq hi = ~StableSeq{0};
-  StableSeq lo = 0;
-  bool any = false;
-  for (ProcessNode* n : nodes) {
-    if (n->retired() || !n->has_stable_storage()) continue;
-    any = true;
-    hi = std::min(hi, n->sstore().latest_valid_ndc());
-    const auto retained = n->sstore().retained_ndcs();
-    if (!retained.empty()) lo = std::max(lo, retained.front());
-  }
-  if (!any) return std::nullopt;
-  for (StableSeq cand = hi; cand + 1 > lo; --cand) {
-    std::vector<CheckpointRecord> records;
-    bool ok = true;
-    for (ProcessNode* n : nodes) {
-      if (n->retired() || !n->has_stable_storage()) continue;
-      auto rec = n->sstore().committed_for(cand);
-      if (!rec || !n->sstore().has_valid(cand)) {
-        ok = false;
-        break;
-      }
-      records.push_back(std::move(*rec));
-    }
-    if (ok && check_all(global_state_from_records(records)).empty()) {
-      return cand;
-    }
-    if (cand == 0) break;  // unsigned: don't wrap below zero
-  }
-  return std::nullopt;
-}
-
-std::vector<std::optional<StableSeq>> consistent_write_through_cut(
-    const std::vector<ProcessNode*>& nodes) {
-  const std::size_t n = nodes.size();
-  std::vector<std::vector<StableSeq>> ndcs(n);        // newest first
-  std::vector<std::vector<CheckpointRecord>> recs(n);  // parallel to ndcs
-  std::vector<std::size_t> idx(n, 0);
-  std::size_t steps = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    ProcessNode* node = nodes[i];
-    if (node->retired() || !node->has_stable_storage()) continue;
-    const auto retained = node->sstore().retained_ndcs();
-    for (auto it = retained.rbegin(); it != retained.rend(); ++it) {
-      if (auto rec = node->sstore().committed_for(*it)) {
-        ndcs[i].push_back(*it);
-        recs[i].push_back(std::move(*rec));
-      }
-    }
-    if (ndcs[i].empty()) return {};  // nothing decodable: degraded fallback
-    steps += recs[i].size();
-  }
-
-  while (steps-- > 0) {
-    std::vector<CheckpointRecord> cut;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!recs[i].empty()) cut.push_back(recs[i][idx[i]]);
-    }
-    if (cut.empty()) return {};
-    if (check_all(global_state_from_records(cut)).empty()) {
-      std::vector<std::optional<StableSeq>> out(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!ndcs[i].empty()) out[i] = ndcs[i][idx[i]];
-      }
-      return out;
-    }
-    // Orphan receipts only exist while some node's cut runs ahead of a
-    // peer's: rolling the newest-state node back one record is the only
-    // monotone repair.
-    std::size_t victim = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (recs[i].empty() || idx[i] + 1 >= recs[i].size()) continue;
-      if (victim == n ||
-          recs[i][idx[i]].state_time > recs[victim][idx[victim]].state_time) {
-        victim = i;
-      }
-    }
-    if (victim == n) return {};  // descent exhausted: degraded fallback
-    ++idx[victim];
-  }
-  return {};
-}
-
 HardwareRecoveryManager::HardwareRecoveryManager(
-    Simulator& sim, std::vector<ProcessNode*> nodes, Duration repair_latency,
-    TraceLog* trace, bool oracle_filter)
-    : sim_(sim), nodes_(std::move(nodes)), repair_latency_(repair_latency),
-      trace_(trace), oracle_filter_(oracle_filter) {
+    Simulator& sim, std::vector<ProcessNode*> nodes, LineAudit& audit,
+    Duration repair_latency, TraceLog* trace, bool oracle_filter)
+    : sim_(sim), nodes_(std::move(nodes)), audit_(audit),
+      repair_latency_(repair_latency), trace_(trace),
+      oracle_filter_(oracle_filter) {
   SYNERGY_EXPECTS(repair_latency >= Duration::zero());
 }
 
@@ -193,7 +108,7 @@ HwRecoveryStats HardwareRecoveryManager::recover_all(TimePoint fault_time,
     // the paper's oracles outright: hardened mode prefers the newest index
     // that is intact everywhere AND restores a clean global state, then
     // degrades to merely intact, then to per-node fallbacks.
-    if (oracle_filter_) line_ndc = common_restorable_line(nodes_);
+    if (oracle_filter_) line_ndc = audit_.restorable_line(nodes_);
     if (!line_ndc) line_ndc = common_valid_line(nodes_);
     if (!line_ndc) {
       StableSeq min_ndc = ~StableSeq{0};
@@ -207,7 +122,7 @@ HwRecoveryStats HardwareRecoveryManager::recover_all(TimePoint fault_time,
     // Hardened index-less recovery: per-node newest records rolled back
     // into a cut the oracles accept (write-latency skew / torn newest
     // records otherwise restore orphan receipts).
-    wt_cut = consistent_write_through_cut(nodes_);
+    wt_cut = audit_.write_through_cut(nodes_);
   }
 
   // Phase 1: every non-retired process rolls back to the line.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "app/fault.hpp"
+#include "coord/line_audit.hpp"
 #include "coord/node.hpp"
 
 namespace synergy {
@@ -39,43 +40,16 @@ struct HwRecoveryStats {
 std::optional<StableSeq> common_valid_line(
     const std::vector<ProcessNode*>& nodes);
 
-/// Like common_valid_line, but the chosen index must also pass the paper's
-/// oracles (consistency, recoverability, software recoverability) over the
-/// record set it would restore. Protects recovery from adopting a line cut
-/// while an injector had split the processes' validation knowledge (e.g. a
-/// dropped passed_AT): restoring such a pair bakes the asymmetry into the
-/// live states, where no later repair can reach it. Empty when no retained
-/// index is clean everywhere — callers fall back to common_valid_line, so
-/// schemes whose lines are *expected* to violate the oracles (ablations,
-/// the naive combination) behave exactly as before.
-std::optional<StableSeq> common_restorable_line(
-    const std::vector<ProcessNode*>& nodes);
-
-/// Per-node record selection for the index-less (write-through) schemes.
-/// Write-through commits are per-node validation events, so a fault inside
-/// one node's write-latency window (or a torn newest record) leaves the
-/// nodes' newest intact records straddling in-flight traffic: the receiver
-/// remembers messages the rolled-back sender never sent. Starting from
-/// every node's newest decodable record, the node whose current record has
-/// the newest state time is rolled back one record at a time until the
-/// paper's oracles accept the cut (the classic rollback-propagation
-/// descent; it terminates because every step strictly shrinks the cut).
-/// Returns the chosen index per node, aligned with `nodes` (nullopt for
-/// retired / storage-less entries); empty when no retained combination is
-/// clean — callers then fall back to per-node latest_committed() exactly
-/// as before.
-std::vector<std::optional<StableSeq>> consistent_write_through_cut(
-    const std::vector<ProcessNode*>& nodes);
-
 class HardwareRecoveryManager {
  public:
   /// `repair_latency`: downtime between the fault and the coordinated
   /// restart of the system. With `oracle_filter`, line selection prefers
-  /// common_restorable_line (hardened mode); otherwise the paper's naive
-  /// common_valid_line selection is used unchanged.
+  /// LineAudit::restorable_line (hardened mode, through `audit`);
+  /// otherwise the paper's naive common_valid_line selection is used
+  /// unchanged.
   HardwareRecoveryManager(Simulator& sim, std::vector<ProcessNode*> nodes,
-                          Duration repair_latency, TraceLog* trace,
-                          bool oracle_filter = false);
+                          LineAudit& audit, Duration repair_latency,
+                          TraceLog* trace, bool oracle_filter = false);
 
   /// Crash the process on `node` now and schedule the global recovery.
   /// `new_epoch` is the recovery incarnation for fencing and re-sends.
@@ -97,6 +71,7 @@ class HardwareRecoveryManager {
 
   Simulator& sim_;
   std::vector<ProcessNode*> nodes_;
+  LineAudit& audit_;
   Duration repair_latency_;
   TraceLog* trace_;
   bool oracle_filter_;

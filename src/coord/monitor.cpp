@@ -5,8 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "analysis/checkers.hpp"
-#include "analysis/global_state.hpp"
 #include "common/assert.hpp"
 #include "coord/hw_recovery.hpp"
 #include "coord/reline.hpp"
@@ -16,10 +14,11 @@ namespace synergy {
 AssumptionMonitor::AssumptionMonitor(Simulator& sim, Network& net,
                                      ClockEnsemble& clocks,
                                      std::vector<ProcessNode*> nodes,
+                                     LineAudit& audit,
                                      const MonitorParams& params,
                                      TraceLog* trace)
     : sim_(sim), net_(net), clocks_(clocks), nodes_(std::move(nodes)),
-      params_(params), trace_(trace) {
+      audit_(audit), params_(params), trace_(trace) {
   SYNERGY_EXPECTS(params_.sweep_interval > Duration::zero());
 }
 
@@ -335,14 +334,7 @@ std::size_t AssumptionMonitor::line_violations() {
   if (participants.empty()) return 0;
   const auto line = common_valid_line(participants);
   if (!line) return 0;
-  std::vector<CheckpointRecord> records;
-  for (ProcessNode* n : participants) {
-    auto rec = n->sstore().committed_for(*line);
-    if (!rec) return 0;  // mid-commit: skip this audit
-    records.push_back(std::move(*rec));
-  }
-  const GlobalState state = global_state_from_records(records);
-  return check_consistency(state).size();
+  return audit_.line_consistency(participants, *line);
 }
 
 void AssumptionMonitor::start_line_repair() {

@@ -54,6 +54,7 @@
 #include <vector>
 
 #include "clock/ensemble.hpp"
+#include "coord/line_audit.hpp"
 #include "coord/node.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -108,8 +109,10 @@ struct MonitorStats {
 
 class AssumptionMonitor {
  public:
+  /// `audit` memoizes the line self-audit (shared with the System's other
+  /// recovery-line audits).
   AssumptionMonitor(Simulator& sim, Network& net, ClockEnsemble& clocks,
-                    std::vector<ProcessNode*> nodes,
+                    std::vector<ProcessNode*> nodes, LineAudit& audit,
                     const MonitorParams& params, TraceLog* trace);
 
   /// Hook the network / TB observers and arm the periodic storage sweep.
@@ -141,7 +144,8 @@ class AssumptionMonitor {
   void start_line_repair();
   void finish_line_repair();
   /// Consistency violations in the currently committed recovery line, or 0
-  /// when the line cannot be audited (no common index space).
+  /// when the line cannot be audited (no common index space). Re-checked
+  /// only when the line's record identities change.
   std::size_t line_violations();
   void reestablish_line();
   bool quiescent() const;  ///< No node crashed / recovery in flight.
@@ -150,6 +154,7 @@ class AssumptionMonitor {
   Network& net_;
   ClockEnsemble& clocks_;
   std::vector<ProcessNode*> nodes_;
+  LineAudit& audit_;
   MonitorParams params_;
   TraceLog* trace_;
   MonitorStats stats_;

@@ -47,11 +47,8 @@ CampaignConfig::CampaignConfig() {
   base.repair_latency = Duration::seconds(2);
 }
 
-MissionReport run_mission(const CampaignConfig& config,
-                          std::uint64_t mission_seed) {
-  MissionReport report;
-  report.seed = mission_seed;
-
+SystemConfig mission_system_config(const CampaignConfig& config,
+                                   std::uint64_t mission_seed) {
   SystemConfig sc = config.base;
   sc.scheme = config.scheme;
   sc.seed = mission_seed;
@@ -63,17 +60,15 @@ MissionReport run_mission(const CampaignConfig& config,
   sc.enable_monitor = true;
   sc.harden_recovery = true;
   if (!config.trace_csv.empty()) sc.enable_trace = true;
+  return sc;
+}
 
-  System system(sc);
-  const TimePoint start = TimePoint::origin();
-  const FaultSchedule schedule = FaultSchedule::generate(
-      mission_seed, config.rates, start, config.mission, sc.clock.rho,
-      kNumCanonicalProcesses);
-
+void arm_fault_schedule(System& system, const FaultSchedule& schedule) {
+  const Scheme scheme = system.config().scheme;
   for (const FaultEvent& ev : schedule.events()) {
     switch (ev.kind) {
       case FaultEvent::Kind::kHwFault:
-        if (sc.scheme != Scheme::kMdcdOnly) {
+        if (scheme != Scheme::kMdcdOnly) {
           system.schedule_hw_fault(ev.at, NodeId{ev.target});
         }
         break;
@@ -117,19 +112,32 @@ MissionReport run_mission(const CampaignConfig& config,
       case FaultEvent::Kind::kHandoff:
         // A handoff re-homes the stable store; storeless schemes have
         // nothing to migrate.
-        if (sc.scheme != Scheme::kMdcdOnly) {
+        if (scheme != Scheme::kMdcdOnly) {
           system.schedule_handoff(
               ev.at, ProcessId{ev.target % kNumCanonicalProcesses});
         }
         break;
     }
   }
+}
+
+MissionReport run_mission(const CampaignConfig& config,
+                          std::uint64_t mission_seed) {
+  MissionReport report;
+  report.seed = mission_seed;
+
+  const SystemConfig sc = mission_system_config(config, mission_seed);
+  System system(sc);
+  const TimePoint start = TimePoint::origin();
+  const FaultSchedule schedule = FaultSchedule::generate(
+      mission_seed, config.rates, start, config.mission, sc.clock.rho,
+      kNumCanonicalProcesses);
+  arm_fault_schedule(system, schedule);
 
   // Periodic recovery-line audits: the paper's theorems as standing
   // invariants, checked while the adversary is mid-swing.
   auto audit = [&report, &system](const char* when) {
-    const GlobalState line = system.stable_line_state();
-    for (const Violation& v : check_all(line)) {
+    for (const Violation& v : system.stable_line_violations()) {
       report.failures.push_back(std::string(when) + " at " +
                                 std::to_string(system.sim().now().to_seconds()) +
                                 "s: " + v.describe());

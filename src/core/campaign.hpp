@@ -178,6 +178,14 @@ std::string format_mission_report(const CampaignConfig& config,
                                   std::size_t index,
                                   const MissionReport& report);
 
+/// The System configuration run_mission builds for `mission_seed`.
+SystemConfig mission_system_config(const CampaignConfig& config,
+                                   std::uint64_t mission_seed);
+
+/// Arm every event of `schedule` on `system` exactly as run_mission does
+/// (storeless schemes skip hardware faults and handoffs).
+void arm_fault_schedule(System& system, const FaultSchedule& schedule);
+
 /// Run one mission with the given seed. Exposed for deterministic replay
 /// (`synergy chaos --replay <seed>`).
 MissionReport run_mission(const CampaignConfig& config,

@@ -87,11 +87,14 @@ System::System(const SystemConfig& config) : config_(config) {
     write_through_->install();
   }
 
+  // One line's facts stay resident: the monitor's and the hardened line
+  // almost always coincide, and verdicts cover the lines walked past.
+  audit_ = std::make_unique<LineAudit>(nodes_.size());
   hw_manager_ = std::make_unique<HardwareRecoveryManager>(
       sim_,
       std::vector<ProcessNode*>{nodes_[0].get(), nodes_[1].get(),
                                 nodes_[2].get()},
-      config.repair_latency, trace, config.harden_recovery);
+      *audit_, config.repair_latency, trace, config.harden_recovery);
 
   sw_manager_ = std::make_unique<SoftwareRecoveryManager>(
       *nodes_[0]->p1act(), *nodes_[1]->p1sdw(), *nodes_[2]->p2(),
@@ -102,7 +105,7 @@ System::System(const SystemConfig& config) : config_(config) {
         sim_, *net_, *clocks_,
         std::vector<ProcessNode*>{nodes_[0].get(), nodes_[1].get(),
                                   nodes_[2].get()},
-        config.monitor, trace);
+        *audit_, config.monitor, trace);
     monitor_->install();
     if (faulty_net_) {
       // Declared disconnection epochs are expected outages, not broken
@@ -376,7 +379,7 @@ void System::on_at_failure(ProcessId detector) {
   nodes_[0]->retire();
 }
 
-GlobalState System::stable_line_state() const {
+std::vector<StoredRecord> System::stable_line() const {
   // Mirror the recovery selection: the line is the last checkpoint index
   // every (timer-driven) process has committed. Write-through has no
   // indices; each process contributes its latest validated checkpoint.
@@ -389,7 +392,7 @@ GlobalState System::stable_line_state() const {
     participants.push_back(n);
     if (n->tb() == nullptr) timered = false;
   }
-  std::vector<CheckpointRecord> records;
+  std::vector<StoredRecord> records;
   std::optional<StableSeq> line;
   if (timered && !participants.empty()) {
     // Same selection a recovery would make: in hardened mode the newest
@@ -397,29 +400,42 @@ GlobalState System::stable_line_state() const {
     // global state, then merely intact (storage faults can damage the
     // naive minimum, and injector-era indices can fail the oracles —
     // hardened recovery skips those).
-    if (config_.harden_recovery) line = common_restorable_line(participants);
+    if (config_.harden_recovery) line = audit_->restorable_line(participants);
     if (!line) line = common_valid_line(participants);
   }
   if (line) {
     for (ProcessNode* n : participants) {
-      auto rec = n->sstore().committed_for(*line);
-      if (rec) records.push_back(std::move(*rec));
+      if (const RecordId id = n->sstore().valid_id(*line)) {
+        records.push_back({&n->sstore(), id});
+      }
     }
   } else {
     // Index-less schemes: mirror hardened recovery's per-node selection
-    // (consistent_write_through_cut), falling back to per-node newest.
+    // (LineAudit::write_through_cut), falling back to per-node newest.
     std::vector<std::optional<StableSeq>> cut;
     if (!timered && config_.harden_recovery) {
-      cut = consistent_write_through_cut(participants);
+      cut = audit_->write_through_cut(participants);
     }
     for (std::size_t i = 0; i < participants.size(); ++i) {
-      ProcessNode* n = participants[i];
-      auto rec = i < cut.size() && cut[i] ? n->sstore().committed_for(*cut[i])
-                                          : n->sstore().latest_committed();
-      if (rec) records.push_back(std::move(*rec));
+      const StableStore& store = participants[i]->sstore();
+      const RecordId id = i < cut.size() && cut[i] ? store.valid_id(*cut[i])
+                                                   : store.latest_valid_id();
+      if (id != 0) records.push_back({&store, id});
     }
   }
-  return global_state_from_records(records);
+  return records;
+}
+
+GlobalState System::stable_line_state() const {
+  GlobalState state;
+  for (const StoredRecord& rec : stable_line()) {
+    state.processes.push_back(facts_from_record(*rec.store->record(rec.id)));
+  }
+  return state;
+}
+
+std::vector<Violation> System::stable_line_violations() const {
+  return audit_->violations(stable_line());
 }
 
 GlobalState System::live_state() const {

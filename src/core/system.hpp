@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "analysis/checkers.hpp"
 #include "analysis/global_state.hpp"
 #include "app/workload.hpp"
 #include "clock/ensemble.hpp"
@@ -195,6 +196,14 @@ class System {
   /// from the latest committed stable checkpoints of non-retired nodes).
   GlobalState stable_line_state() const;
 
+  /// check_all() over stable_line_state(), through the shared audit cache:
+  /// the same reads and the same violations, without decoding or
+  /// re-checking records an earlier audit already saw.
+  std::vector<Violation> stable_line_violations() const;
+
+  /// The audit cache every recovery-line audit of this system shares.
+  LineAudit& line_audit() { return *audit_; }
+
   /// Global state of the live engines (post-recovery audits).
   GlobalState live_state() const;
 
@@ -208,6 +217,8 @@ class System {
   AssumptionMonitor* monitor() { return monitor_.get(); }
 
  private:
+  /// The records stable_line_state() decodes, in node order.
+  std::vector<StoredRecord> stable_line() const;
   void on_at_failure(ProcessId detector);
   void on_lane_rollback(ProcessId detector);
   std::uint32_t next_epoch() { return ++epoch_counter_; }
@@ -219,6 +230,8 @@ class System {
   std::unique_ptr<Network> net_;
   std::unique_ptr<ClockEnsemble> clocks_;
   std::vector<std::unique_ptr<ProcessNode>> nodes_;
+  /// Decoded facts and verdicts shared by every recovery-line audit.
+  std::unique_ptr<LineAudit> audit_;
   std::unique_ptr<WorkloadDriver> workload_;
   std::unique_ptr<WriteThroughCoordinator> write_through_;
   std::unique_ptr<HardwareRecoveryManager> hw_manager_;

@@ -57,6 +57,9 @@ class ViewLog {
   static ViewLog deserialize(ByteReader& r);
 
  private:
+  /// peer u32, transport_seq u64, sn u64, kind u8, suspect u8, contam u64.
+  static constexpr std::size_t kEncodedEntryBytes = 4 + 8 + 8 + 1 + 1 + 8;
+
   Entries views_;
 };
 

@@ -1,11 +1,19 @@
 #include "storage/stable_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/assert.hpp"
 
 namespace synergy {
+namespace {
+
+// Identities are process-wide so that a tuple of them names one set of
+// stored bytes even across stores (and missions on other threads).
+std::atomic<RecordId> g_next_record_id{1};
+
+}  // namespace
 
 Duration StableStore::write_latency_for(const CheckpointRecord& record) const {
   const auto kib =
@@ -38,15 +46,22 @@ std::optional<TimePoint> StableStore::write_deadline() const {
   return in_progress_->expected_commit;
 }
 
-void StableStore::retain(StableSeq ndc, Bytes encoded) {
+void StableStore::forget(Committed& c) {
+  c.id = g_next_record_id.fetch_add(1, std::memory_order_relaxed);
+  c.verdict = Verdict::kUnknown;
+}
+
+void StableStore::retain(StableSeq ndc, Bytes encoded, bool whole) {
   // Same-index re-commit (post-recovery line refresh) replaces in place.
-  for (auto& c : history_) {
-    if (c.ndc == ndc) {
-      c.encoded = std::move(encoded);
-      return;
-    }
+  auto it = std::find_if(history_.begin(), history_.end(),
+                         [ndc](const Committed& c) { return c.ndc == ndc; });
+  if (it == history_.end()) {
+    it = history_.emplace(history_.end());
+    it->ndc = ndc;
   }
-  history_.push_back(Committed{ndc, std::move(encoded)});
+  it->encoded = std::move(encoded);
+  forget(*it);
+  if (whole) it->verdict = Verdict::kIntact;
   if (history_.size() > kHistoryDepth) {
     history_.erase(history_.begin());
   }
@@ -83,6 +98,7 @@ void StableStore::commit() {
   bytes_written_ += w.data().size();
   const StableSeq ndc = in_progress_->record.ndc;
   Bytes encoded = w.take();
+  bool torn = false;
 
   // Torn write: only a prefix of the record reaches the platter, but the
   // writer is told the commit succeeded. The CRC inside the encoding makes
@@ -94,9 +110,10 @@ void StableStore::commit() {
         1, static_cast<std::int64_t>(encoded.size()) - 1));
     encoded.resize(keep);
     ++torn_writes_;
+    torn = true;
   }
 
-  retain(ndc, std::move(encoded));
+  retain(ndc, std::move(encoded), !torn);
   ++commits_;
   apply_post_commit_faults();
   CommitCallback cb = std::move(in_progress_->on_commit);
@@ -118,6 +135,7 @@ void StableStore::apply_post_commit_faults() {
       0, static_cast<std::int64_t>(victim.encoded.size()) - 1));
   const auto bit = static_cast<int>(fault_rng_.uniform_int(0, 7));
   victim.encoded[byte] ^= static_cast<std::uint8_t>(1u << bit);
+  forget(victim);
   ++latent_corruptions_;
 }
 
@@ -126,26 +144,47 @@ void StableStore::commit_now(CheckpointRecord record) {
   ByteWriter w;
   record.serialize(w);
   bytes_written_ += w.data().size();
-  retain(record.ndc, w.take());
+  retain(record.ndc, w.take(), true);
   ++commits_;
 }
 
-std::optional<CheckpointRecord> StableStore::decode(
-    const Bytes& encoded) const {
-  ByteReader r(encoded);
+std::optional<CheckpointRecord> StableStore::decode(const Committed& c) const {
+  decoded_bytes_ += c.encoded.size();
+  ByteReader r(c.encoded);
   auto rec = CheckpointRecord::try_deserialize(r);
   // Record-boundary check: a stored blob is exactly one record. Trailing
   // bytes mean the blob is not what the writer produced (overlong torn
   // read, appended garbage) even when the record's own CRC happens to
   // pass — treat it as corrupt, never hand back state plus junk.
   if (rec && !r.exhausted()) rec.reset();
-  if (!rec) ++corrupt_reads_;
+  c.verdict = rec ? Verdict::kIntact : Verdict::kCorrupt;
   return rec;
 }
 
+bool StableStore::intact(const Committed& c) const {
+  read_bytes_ += c.encoded.size();
+  if (c.verdict == Verdict::kUnknown) decode(c);
+  return c.verdict == Verdict::kIntact;
+}
+
+std::optional<CheckpointRecord> StableStore::load(const Committed& c) const {
+  read_bytes_ += c.encoded.size();
+  if (c.verdict == Verdict::kCorrupt) return std::nullopt;
+  return decode(c);
+}
+
+const StableStore::Committed* StableStore::find(StableSeq ndc) const {
+  for (const auto& c : history_) {
+    if (c.ndc == ndc) return &c;
+  }
+  return nullptr;
+}
+
 std::optional<CheckpointRecord> StableStore::latest_committed() const {
+  ++reads_;
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    if (auto rec = decode(it->encoded)) return rec;
+    if (auto rec = load(*it)) return rec;
+    ++corrupt_reads_;
   }
   return std::nullopt;
 }
@@ -155,38 +194,69 @@ StableSeq StableStore::latest_ndc() const {
 }
 
 StableSeq StableStore::latest_valid_ndc() const {
+  ++reads_;
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-    ByteReader r(it->encoded);
-    if (CheckpointRecord::try_deserialize(r) && r.exhausted()) return it->ndc;
+    if (intact(*it)) return it->ndc;
   }
   return 0;
 }
 
 std::optional<CheckpointRecord> StableStore::committed_for(
     StableSeq ndc) const {
-  for (const auto& c : history_) {
-    if (c.ndc == ndc) return decode(c.encoded);
-  }
-  return std::nullopt;
+  ++reads_;
+  const Committed* c = find(ndc);
+  if (c == nullptr) return std::nullopt;
+  auto rec = load(*c);
+  if (!rec) ++corrupt_reads_;
+  return rec;
 }
 
 std::optional<CheckpointRecord> StableStore::best_valid_at_most(
     StableSeq ndc) const {
+  ++reads_;
   for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
     if (it->ndc > ndc) continue;
-    if (auto rec = decode(it->encoded)) return rec;
+    if (auto rec = load(*it)) return rec;
+    ++corrupt_reads_;
   }
   return std::nullopt;
 }
 
 bool StableStore::has_valid(StableSeq ndc) const {
-  for (const auto& c : history_) {
-    if (c.ndc == ndc) {
-      ByteReader r(c.encoded);
-      return CheckpointRecord::try_deserialize(r).has_value() && r.exhausted();
-    }
+  ++reads_;
+  const Committed* c = find(ndc);
+  return c != nullptr && intact(*c);
+}
+
+RecordId StableStore::valid_id(StableSeq ndc) const {
+  ++reads_;
+  const Committed* c = find(ndc);
+  if (c == nullptr) return 0;
+  if (intact(*c)) return c->id;
+  ++corrupt_reads_;
+  return 0;
+}
+
+RecordId StableStore::latest_valid_id() const {
+  ++reads_;
+  for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
+    if (intact(*it)) return it->id;
+    ++corrupt_reads_;
   }
-  return false;
+  return 0;
+}
+
+std::optional<CheckpointRecord> StableStore::record(RecordId id) const {
+  ++reads_;
+  for (const auto& c : history_) {
+    if (c.id == id) return load(c);
+  }
+  return std::nullopt;
+}
+
+const Bytes* StableStore::stored_bytes(StableSeq ndc) const {
+  const Committed* c = find(ndc);
+  return c ? &c->encoded : nullptr;
 }
 
 std::vector<StableSeq> StableStore::retained_ndcs() const {
@@ -199,6 +269,10 @@ std::vector<StableSeq> StableStore::retained_ndcs() const {
 void StableStore::discard_above(StableSeq ndc) {
   std::erase_if(history_,
                 [ndc](const Committed& c) { return c.ndc > ndc; });
+  // Survivors' bytes are untouched, but the retained set changed under
+  // recovery: re-identify them rather than reason about which derived
+  // audits still hold. At most one fresh decode per survivor.
+  for (auto& c : history_) forget(c);
 }
 
 StableStore::HandoffOutcome StableStore::handoff(std::size_t keep_depth,
@@ -232,6 +306,8 @@ StableStore::HandoffOutcome StableStore::handoff(std::size_t keep_depth,
                        static_cast<std::ptrdiff_t>(out.dropped));
   }
   out.migrated = history_.size();
+  // The history now lives at another station: re-identify what migrated.
+  for (auto& c : history_) forget(c);
   return out;
 }
 
@@ -246,6 +322,7 @@ bool StableStore::corrupt_retained(StableSeq ndc) {
   for (auto& c : history_) {
     if (c.ndc == ndc && !c.encoded.empty()) {
       c.encoded[c.encoded.size() / 2] ^= 0x10;
+      forget(c);
       ++latent_corruptions_;
       return true;
     }
@@ -257,6 +334,7 @@ bool StableStore::pad_retained(StableSeq ndc, std::size_t extra) {
   for (auto& c : history_) {
     if (c.ndc == ndc) {
       c.encoded.insert(c.encoded.end(), extra, std::uint8_t{0xA5});
+      forget(c);
       ++latent_corruptions_;
       return true;
     }
@@ -268,6 +346,7 @@ bool StableStore::truncate_retained(StableSeq ndc, std::size_t keep) {
   for (auto& c : history_) {
     if (c.ndc == ndc && keep < c.encoded.size()) {
       c.encoded.resize(keep);
+      forget(c);
       ++torn_writes_;
       return true;
     }

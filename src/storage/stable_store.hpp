@@ -20,6 +20,13 @@
 // checksum, so a damaged record is *detected* (counted in corrupt_reads)
 // and skipped in favour of the previous retained record, never returned
 // as data and never allowed to crash the process.
+//
+// Reads are memoized per retained entry: each entry carries a decode
+// verdict plus a record identity the store never reuses. Every mutation
+// of retained bytes — replacement, latent flips, deterministic damage,
+// handoff, discard_above — resets the verdict and assigns a fresh
+// identity, so a verdict read of unchanged bytes never re-CRCs them and a
+// caller may key derived data (audit facts, verdicts) by identity alone.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +68,11 @@ struct StableStoreParams {
   Duration write_per_kib = Duration::micros(100);
   StorageFaultParams faults;
 };
+
+/// Identity of one retained record's bytes. Assigned by the store, never
+/// reused (not even across stores), and replaced whenever the bytes change.
+/// 0 names no record.
+using RecordId = std::uint64_t;
 
 class StableStore {
  public:
@@ -127,8 +139,26 @@ class StableStore {
   /// True iff a retained record with this index decodes cleanly.
   bool has_valid(StableSeq ndc) const;
 
+  /// Identity of the retained record with index `ndc` when it decodes
+  /// cleanly, else 0. Reads like committed_for (a damaged record counts a
+  /// corrupt read) but returns no copy.
+  RecordId valid_id(StableSeq ndc) const;
+
+  /// Identity of the record latest_committed() would return, else 0.
+  /// Counts corrupt reads exactly like latest_committed().
+  RecordId latest_valid_id() const;
+
+  /// The decoded record with identity `id`, or nullopt when `id` no longer
+  /// names an intact retained record.
+  std::optional<CheckpointRecord> record(RecordId id) const;
+
   /// Indices of all retained records, oldest first.
   std::vector<StableSeq> retained_ndcs() const;
+
+  /// The stored bytes of the retained record with index `ndc` (null when
+  /// none), exactly as a disk dump would show them: no decode, no memo. For
+  /// forensics and from-scratch reference audits.
+  const Bytes* stored_bytes(StableSeq ndc) const;
 
   /// Drop every retained record with index > `ndc`. Recovery calls this on
   /// all survivors: records committed during the repair window belong to
@@ -202,14 +232,45 @@ class StableStore {
   /// Reads that hit a record failing its checksum/decode.
   std::uint64_t corrupt_reads() const { return corrupt_reads_; }
   std::uint64_t bytes_written() const { return bytes_written_; }
+  /// Read calls served (every const accessor above that inspects records).
+  std::uint64_t reads() const { return reads_; }
+  /// Stored bytes those reads inspected: what they would decode without
+  /// the memo.
+  std::uint64_t read_bytes() const { return read_bytes_; }
+  /// Stored bytes actually run through the decoder.
+  std::uint64_t decoded_bytes() const { return decoded_bytes_; }
 
  private:
   static constexpr std::size_t kHistoryDepth = 8;
 
+  enum class Verdict : std::uint8_t { kUnknown, kIntact, kCorrupt };
+  struct Committed {
+    StableSeq ndc;
+    Bytes encoded;
+    RecordId id = 0;
+    /// Decode memo of `encoded`: unknown until first inspected (or seeded
+    /// at commit).
+    mutable Verdict verdict = Verdict::kUnknown;
+  };
+
   void commit();
-  void retain(StableSeq ndc, Bytes encoded);
+  /// Retain `encoded` under `ndc` with a fresh identity. `whole`: the
+  /// bytes are exactly what the serializer produced, so the verdict is
+  /// seeded intact (the codec round-trips exactly).
+  void retain(StableSeq ndc, Bytes encoded, bool whole);
   void apply_post_commit_faults();
-  std::optional<CheckpointRecord> decode(const Bytes& encoded) const;
+  /// The bytes of `c` changed (or may have): fresh identity, empty memo.
+  static void forget(Committed& c);
+  /// Whether `c` decodes cleanly, via the memo. Counts the entry's bytes as
+  /// inspected.
+  bool intact(const Committed& c) const;
+  /// The decoded record of `c` (nullopt when damaged); an entry the
+  /// verdict already says is damaged is not decoded again. Counts the
+  /// entry's bytes as inspected.
+  std::optional<CheckpointRecord> load(const Committed& c) const;
+  /// Run `c`'s bytes through the decoder and memoize the verdict.
+  std::optional<CheckpointRecord> decode(const Committed& c) const;
+  const Committed* find(StableSeq ndc) const;
 
   struct InProgress {
     CheckpointRecord record;
@@ -217,10 +278,6 @@ class StableStore {
     EventHandle handle;
     std::size_t attempt = 0;
     TimePoint expected_commit;
-  };
-  struct Committed {
-    StableSeq ndc;
-    Bytes encoded;
   };
 
   Simulator& sim_;
@@ -237,6 +294,9 @@ class StableStore {
   std::uint64_t torn_writes_ = 0;
   std::uint64_t latent_corruptions_ = 0;
   mutable std::uint64_t corrupt_reads_ = 0;
+  mutable std::uint64_t reads_ = 0;
+  mutable std::uint64_t read_bytes_ = 0;
+  mutable std::uint64_t decoded_bytes_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t handoffs_ = 0;
 };

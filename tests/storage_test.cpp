@@ -170,12 +170,168 @@ TEST_F(StableStoreFixture, TrailingGarbageRejectedAtRecordBoundary) {
 }
 
 TEST_F(StableStoreFixture, CommittedSurvivesAsBytes) {
-  // latest_committed decodes from the persisted byte blob every time:
-  // mutating the returned record must not affect the store.
+  // latest_committed hands out a copy of the decoded record: mutating it
+  // must not affect the store (or its decode memo).
   store_.commit_now(sample_record(3));
   auto rec = store_.latest_committed();
   rec->ndc = 999;
   EXPECT_EQ(store_.latest_committed()->ndc, 3u);
+}
+
+// ---- Decode memo invalidation ----------------------------------------
+//
+// Every read is served from a per-entry decode memo. Each test warms the
+// memo, mutates the stored bytes one way, and checks every read against a
+// from-scratch decode of the raw bytes.
+
+CheckpointRecord distinct_record(std::uint64_t ndc, std::int64_t stamp) {
+  CheckpointRecord rec = sample_record(ndc);
+  rec.state_time = TimePoint{stamp};
+  rec.protocol_state = Bytes(64 + ndc, static_cast<std::uint8_t>(stamp));
+  return rec;
+}
+
+std::optional<CheckpointRecord> fresh_decode(const StableStore& store,
+                                             StableSeq ndc) {
+  const Bytes* bytes = store.stored_bytes(ndc);
+  if (bytes == nullptr) return std::nullopt;
+  ByteReader r(*bytes);
+  auto rec = CheckpointRecord::try_deserialize(r);
+  if (rec && !r.exhausted()) rec.reset();
+  return rec;
+}
+
+// Every read agrees with a from-scratch decode, and each failing
+// committed_for call counts exactly one corrupt read.
+void expect_fresh(const StableStore& store) {
+  StableSeq newest_valid = 0;
+  for (const StableSeq ndc : store.retained_ndcs()) {
+    SCOPED_TRACE("ndc " + std::to_string(ndc));
+    const auto want = fresh_decode(store, ndc);
+    if (want) newest_valid = ndc;
+    EXPECT_EQ(store.has_valid(ndc), want.has_value());
+    for (int call = 0; call < 2; ++call) {
+      const std::uint64_t before = store.corrupt_reads();
+      const auto got = store.committed_for(ndc);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      EXPECT_EQ(store.corrupt_reads() - before, want ? 0u : 1u);
+      if (got) {
+        EXPECT_EQ(got->state_time, want->state_time);
+        EXPECT_EQ(got->protocol_state, want->protocol_state);
+      }
+    }
+    EXPECT_EQ(store.valid_id(ndc) != 0, want.has_value());
+  }
+  EXPECT_EQ(store.latest_valid_ndc(), newest_valid);
+}
+
+TEST_F(StableStoreFixture, LatentFlipResetsMemo) {
+  StableStoreParams p = params();
+  p.faults.latent_corruption_probability = 1.0;
+  StableStore store(sim_, p);
+  store.seed_faults(Rng(7));
+  for (std::uint64_t ndc = 1; ndc <= 6; ++ndc) {
+    expect_fresh(store);  // warm the memo before the next flip
+    store.begin_write(distinct_record(ndc, static_cast<std::int64_t>(ndc)));
+    sim_.run();
+    EXPECT_EQ(store.latent_corruptions(), ndc);
+    expect_fresh(store);
+  }
+}
+
+TEST_F(StableStoreFixture, DeterministicDamageResetsMemo) {
+  for (std::uint64_t ndc = 1; ndc <= 4; ++ndc) {
+    store_.commit_now(distinct_record(ndc, static_cast<std::int64_t>(ndc)));
+  }
+  expect_fresh(store_);
+  ASSERT_TRUE(store_.corrupt_retained(2));
+  expect_fresh(store_);
+  EXPECT_FALSE(store_.has_valid(2));
+  ASSERT_TRUE(store_.truncate_retained(4, 10));
+  expect_fresh(store_);
+  EXPECT_EQ(store_.latest_valid_ndc(), 3u);
+  ASSERT_TRUE(store_.pad_retained(3, 4));
+  expect_fresh(store_);
+  EXPECT_EQ(store_.latest_valid_ndc(), 1u);
+}
+
+TEST_F(StableStoreFixture, SameIndexRecommitResetsMemo) {
+  store_.commit_now(distinct_record(2, 100));
+  expect_fresh(store_);
+  const RecordId before = store_.valid_id(2);
+  store_.commit_now(distinct_record(2, 200));  // a reline at the same index
+  expect_fresh(store_);
+  EXPECT_NE(store_.valid_id(2), before);
+  EXPECT_EQ(store_.committed_for(2)->state_time, TimePoint{200});
+}
+
+TEST_F(StableStoreFixture, HandoffResetsMemo) {
+  for (std::uint64_t ndc = 1; ndc <= 5; ++ndc) {
+    store_.commit_now(distinct_record(ndc, static_cast<std::int64_t>(ndc)));
+  }
+  ASSERT_TRUE(store_.corrupt_retained(4));
+  expect_fresh(store_);
+  const RecordId survivor = store_.valid_id(5);
+  const auto out = store_.handoff(3, Duration::zero());
+  EXPECT_EQ(out.dropped, 2u);
+  EXPECT_EQ(store_.retained_ndcs(), (std::vector<StableSeq>{3, 4, 5}));
+  expect_fresh(store_);
+  EXPECT_NE(store_.valid_id(5), survivor);
+  EXPECT_FALSE(store_.committed_for(1).has_value());
+}
+
+TEST_F(StableStoreFixture, DiscardAboveResetsMemo) {
+  for (std::uint64_t ndc = 1; ndc <= 4; ++ndc) {
+    store_.commit_now(distinct_record(ndc, static_cast<std::int64_t>(ndc)));
+  }
+  ASSERT_TRUE(store_.corrupt_retained(2));
+  expect_fresh(store_);
+  const RecordId survivor = store_.valid_id(1);
+  store_.discard_above(2);
+  EXPECT_EQ(store_.retained_ndcs(), (std::vector<StableSeq>{1, 2}));
+  expect_fresh(store_);
+  EXPECT_NE(store_.valid_id(1), survivor);
+  EXPECT_EQ(store_.latest_valid_ndc(), 1u);
+}
+
+TEST_F(StableStoreFixture, CorruptReadsCountOncePerFailingCall) {
+  store_.commit_now(distinct_record(1, 1));
+  store_.commit_now(distinct_record(2, 2));
+  ASSERT_TRUE(store_.corrupt_retained(2));
+  const std::uint64_t base = store_.corrupt_reads();
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store_.latest_committed());
+  EXPECT_EQ(store_.corrupt_reads() - base, 3u);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store_.best_valid_at_most(2));
+  EXPECT_EQ(store_.corrupt_reads() - base, 6u);
+  EXPECT_EQ(store_.latest_valid_id(), store_.valid_id(1));
+  EXPECT_EQ(store_.corrupt_reads() - base, 7u);
+  // Verdict-only reads never count.
+  EXPECT_FALSE(store_.has_valid(2));
+  EXPECT_EQ(store_.latest_valid_ndc(), 1u);
+  EXPECT_EQ(store_.corrupt_reads() - base, 7u);
+}
+
+TEST_F(StableStoreFixture, WorkCountersSeparateReadsFromDecodes) {
+  store_.commit_now(distinct_record(1, 1));
+  const std::uint64_t size = store_.stored_bytes(1)->size();
+  // The store wrote these bytes itself: the verdict needs no decode.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(store_.has_valid(1));
+  EXPECT_EQ(store_.reads(), 4u);
+  EXPECT_EQ(store_.read_bytes(), 4 * size);
+  EXPECT_EQ(store_.decoded_bytes(), 0u);
+  // Full reads decode, on every call.
+  const RecordId id = store_.valid_id(1);
+  ASSERT_TRUE(store_.record(id));
+  ASSERT_TRUE(store_.committed_for(1));
+  EXPECT_EQ(store_.decoded_bytes(), 2 * size);
+  // Damaged bytes are decoded once; the verdict answers later reads.
+  store_.commit_now(distinct_record(2, 2));
+  ASSERT_TRUE(store_.corrupt_retained(2));
+  EXPECT_FALSE(store_.committed_for(2));
+  EXPECT_FALSE(store_.committed_for(2));
+  EXPECT_FALSE(store_.has_valid(2));
+  EXPECT_EQ(store_.decoded_bytes(), 2 * size + store_.stored_bytes(2)->size());
+  EXPECT_EQ(store_.reads(), 10u);
 }
 
 TEST(StableStoreLatencyTest, PerKibLatencyScalesWithSize) {

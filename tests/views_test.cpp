@@ -34,6 +34,19 @@ TEST(ViewLogTest, SerializationRoundTrip) {
   EXPECT_EQ(back.entries()[1], log.entries()[1]);
 }
 
+TEST(ViewLogTest, TruncatedLogFailsTheReader) {
+  ViewLog log;
+  log.add(view(kP2, 1, true));
+  log.add(view(kP2, 2, false));
+  ByteWriter w;
+  log.serialize(w);
+  Bytes cut = w.data();
+  cut.pop_back();
+  ByteReader r(cut);
+  EXPECT_EQ(ViewLog::deserialize(r).size(), 0u);
+  EXPECT_FALSE(r.ok());
+}
+
 class CheckerFixture : public ::testing::Test {
  protected:
   CheckerFixture() { state_.processes.reserve(8); }
