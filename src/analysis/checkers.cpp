@@ -7,6 +7,8 @@
 namespace synergy {
 namespace {
 
+// Reads the encoded entries in place: the counting pass touches only each
+// entry's peer field, the placing pass the four fields a view keeps.
 AuditFacts::Log compact(const ViewLog& log) {
   AuditFacts::Log out;
   auto& runs = out.runs;
@@ -15,16 +17,25 @@ AuditFacts::Log compact(const ViewLog& log) {
         runs.begin(), runs.end(), peer,
         [](const AuditFacts::Run& r, std::uint32_t p) { return r.peer < p; });
   };
-  const auto& e = log.entries();
-  const auto n = static_cast<std::uint32_t>(e.size());
+  // Neighbouring entries mostly share a peer: try the last run first.
+  AuditFacts::Run* last = nullptr;
+  const std::uint8_t* const entries = log.encoded().data();
+  auto peer_of = [entries](std::uint32_t i) {
+    return load_le<std::uint32_t>(entries + i * ViewLog::kEntryBytes +
+                                  ViewLog::kPeerAt);
+  };
+  const auto n = static_cast<std::uint32_t>(log.size());
   // Count views per peer, then place them run by run in log order.
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t peer = e[i].peer.value();
-    auto it = run_of(peer);
-    if (it == runs.end() || it->peer != peer) {
-      it = runs.insert(it, AuditFacts::Run{peer, 0, 0});
+    const std::uint32_t peer = peer_of(i);
+    if (last == nullptr || last->peer != peer) {
+      auto it = run_of(peer);
+      if (it == runs.end() || it->peer != peer) {
+        it = runs.insert(it, AuditFacts::Run{peer, 0, 0});
+      }
+      last = &*it;
     }
-    ++it->end;
+    ++last->end;
   }
   std::uint32_t offset = 0;
   for (AuditFacts::Run& r : runs) {
@@ -33,9 +44,15 @@ AuditFacts::Log compact(const ViewLog& log) {
     r.end = r.begin;
   }
   out.views.resize(n);
+  last = nullptr;
   for (std::uint32_t i = 0; i < n; ++i) {
-    out.views[run_of(e[i].peer.value())->end++] = AuditFacts::View{
-        e[i].transport_seq, i, e[i].kind == MsgKind::kInternal, e[i].suspect};
+    const std::uint8_t* e = entries + i * ViewLog::kEntryBytes;
+    const std::uint32_t peer = peer_of(i);
+    if (last == nullptr || last->peer != peer) last = &*run_of(peer);
+    out.views[last->end++] = AuditFacts::View{
+        load_le<std::uint64_t>(e + ViewLog::kSeqAt), i,
+        e[ViewLog::kKindAt] == static_cast<std::uint8_t>(MsgKind::kInternal),
+        e[ViewLog::kSuspectAt] != 0};
   }
   // Logs grow in send/delivery order: a run that already ascends (sent
   // views, in-order deliveries) needs no sort; reordered or re-sent

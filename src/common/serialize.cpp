@@ -20,15 +20,9 @@ std::uint8_t* ByteWriter::grow(std::size_t n) {
 
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
-void ByteWriter::u32(std::uint32_t v) {
-  std::uint8_t* p = grow(4);
-  for (int i = 0; i < 4; ++i) p[i] = (v >> (8 * i)) & 0xFF;
-}
+void ByteWriter::u32(std::uint32_t v) { store_le(grow(4), v); }
 
-void ByteWriter::u64(std::uint64_t v) {
-  std::uint8_t* p = grow(8);
-  for (int i = 0; i < 8; ++i) p[i] = (v >> (8 * i)) & 0xFF;
-}
+void ByteWriter::u64(std::uint64_t v) { store_le(grow(8), v); }
 
 void ByteWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -71,16 +65,14 @@ std::uint8_t ByteReader::u8() {
 
 std::uint32_t ByteReader::u32() {
   if (!require(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t{data_[pos_++]} << (8 * i);
-  return v;
+  pos_ += 4;
+  return load_le<std::uint32_t>(data_.data() + pos_ - 4);
 }
 
 std::uint64_t ByteReader::u64() {
   if (!require(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t{data_[pos_++]} << (8 * i);
-  return v;
+  pos_ += 8;
+  return load_le<std::uint64_t>(data_.data() + pos_ - 8);
 }
 
 std::int64_t ByteReader::i64() { return static_cast<std::int64_t>(u64()); }
@@ -184,12 +176,6 @@ const Crc32Tables& crc32_tables() {
   return tables;
 }
 
-// Little-endian 32-bit load, endianness-portable (single mov on LE).
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
-}
-
 // Raw-state slicing-by-8 update: no 0xFFFFFFFF pre/post conditioning, so
 // the dispatcher can run the PCLMUL kernel over the aligned middle of a
 // buffer and finish the tail here on the same shift-register state.
@@ -197,8 +183,8 @@ std::uint32_t crc32_update_portable(std::uint32_t c, const std::uint8_t* data,
                                     std::size_t n) {
   const auto& t = crc32_tables().t;
   while (n >= 8) {
-    const std::uint32_t one = load_le32(data) ^ c;
-    const std::uint32_t two = load_le32(data + 4);
+    const std::uint32_t one = load_le<std::uint32_t>(data) ^ c;
+    const std::uint32_t two = load_le<std::uint32_t>(data + 4);
     c = t[7][one & 0xFF] ^ t[6][(one >> 8) & 0xFF] ^ t[5][(one >> 16) & 0xFF] ^
         t[4][one >> 24] ^ t[3][two & 0xFF] ^ t[2][(two >> 8) & 0xFF] ^
         t[1][(two >> 16) & 0xFF] ^ t[0][two >> 24];

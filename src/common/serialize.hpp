@@ -14,7 +14,9 @@
 // source's version stamp moved).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -75,6 +77,30 @@ class SharedBytes {
 
   std::shared_ptr<const Bytes> data_;
 };
+
+/// Little-endian load of a T, the inverse of ByteWriter's encoding. Reads
+/// fields in place from encoded buffers: one unaligned mov on
+/// little-endian hosts (a byte loop is not reliably merged at -O2).
+template <class T>
+T load_le(const std::uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) v |= T{p[i]} << (8 * i);
+  }
+  return v;
+}
+
+/// Little-endian store of a T, byte-identical to ByteWriter's encoding.
+template <class T>
+void store_le(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = (v >> (8 * i)) & 0xFF;
+  }
+}
 
 /// Appends primitive values to a growing byte buffer. Reusable: clear()
 /// keeps the allocated capacity, so a long-lived scratch writer encodes

@@ -446,7 +446,10 @@ void MdcdEngine::restore_from_record(const CheckpointRecord& record) {
 }
 
 Bytes MdcdEngine::snapshot_protocol_state() const {
+  // One exact-size allocation; each view log goes in as a single copy.
   ByteWriter w;
+  w.reserve(1 + 8 + 1 + 8 + 8 + sent_views_.encoded_size() +
+            recv_views_.encoded_size() + role_state_size());
   w.u8(dirty_ ? 1 : 0);
   w.u64(msg_sn_);
   w.u8(guarded_ ? 1 : 0);

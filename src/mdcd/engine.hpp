@@ -174,6 +174,8 @@ class MdcdEngine : public CheckpointableProcess {
   virtual void do_app_message(const Message& m) = 0;
   virtual void serialize_role_state(ByteWriter& w) const;
   virtual void deserialize_role_state(ByteReader& r);
+  /// Bytes serialize_role_state() appends (sizes the snapshot exactly).
+  virtual std::size_t role_state_size() const { return 0; }
 
   /// How this role marks its state suspect on a confidence-loss event.
   /// Base: set the dirty bit. P1act (modified) overrides — its dirty bit

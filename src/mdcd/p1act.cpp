@@ -163,6 +163,8 @@ void P1ActEngine::serialize_role_state(ByteWriter& w) const {
   w.u8(recv_dirty_ ? 1 : 0);
 }
 
+std::size_t P1ActEngine::role_state_size() const { return 2; }
+
 void P1ActEngine::deserialize_role_state(ByteReader& r) {
   pseudo_dirty_ = r.u8() != 0;
   recv_dirty_ = r.u8() != 0;

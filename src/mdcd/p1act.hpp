@@ -35,6 +35,7 @@ class P1ActEngine final : public MdcdEngine {
   void note_confidence_loss() override;
   void serialize_role_state(ByteWriter& w) const override;
   void deserialize_role_state(ByteReader& r) override;
+  std::size_t role_state_size() const override;
 
  private:
   void clear_pseudo_dirty();

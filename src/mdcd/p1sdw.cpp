@@ -146,6 +146,12 @@ void P1SdwEngine::serialize_role_state(ByteWriter& w) const {
   for (const auto& m : msg_log_) m.serialize(w);
 }
 
+std::size_t P1SdwEngine::role_state_size() const {
+  std::size_t n = 1 + 8 + 4;
+  for (const auto& m : msg_log_) n += m.encoded_size();
+  return n;
+}
+
 void P1SdwEngine::deserialize_role_state(ByteReader& r) {
   active_ = r.u8() != 0;
   vr_p1act_ = r.u64();

@@ -36,6 +36,7 @@ class P1SdwEngine final : public MdcdEngine {
   void do_app_message(const Message& m) override;
   void serialize_role_state(ByteWriter& w) const override;
   void deserialize_role_state(ByteReader& r) override;
+  std::size_t role_state_size() const override;
 
  private:
   void active_send(bool external, std::uint64_t payload, bool tainted);

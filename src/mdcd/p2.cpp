@@ -103,6 +103,8 @@ void P2Engine::serialize_role_state(ByteWriter& w) const {
   w.u64(p1act_sn_seen_);
 }
 
+std::size_t P2Engine::role_state_size() const { return 8; }
+
 void P2Engine::deserialize_role_state(ByteReader& r) {
   p1act_sn_seen_ = r.u64();
 }

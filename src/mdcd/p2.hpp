@@ -25,6 +25,7 @@ class P2Engine final : public MdcdEngine {
   void do_app_message(const Message& m) override;
   void serialize_role_state(ByteWriter& w) const override;
   void deserialize_role_state(ByteReader& r) override;
+  std::size_t role_state_size() const override;
 
  private:
   MsgSeq p1act_sn_seen_ = 0;

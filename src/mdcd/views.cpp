@@ -1,34 +1,42 @@
 #include "mdcd/views.hpp"
 
 namespace synergy {
-namespace {
 
-// Little-endian load matching ByteWriter's encoding.
-template <class T>
-T load_le(const std::uint8_t* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) v |= T{p[i]} << (8 * i);
-  return v;
+void ViewLog::add(const MsgView& view) {
+  std::uint8_t e[kEntryBytes];
+  store_le<std::uint32_t>(e + kPeerAt, view.peer.value());
+  store_le<std::uint64_t>(e + kSeqAt, view.transport_seq);
+  store_le<std::uint64_t>(e + kSnAt, view.sn);
+  e[kKindAt] = static_cast<std::uint8_t>(view.kind);
+  e[kSuspectAt] = view.suspect ? 1 : 0;
+  store_le<std::uint64_t>(e + kContamAt, view.contam_sn);
+  entries_.insert(entries_.end(), e, e + kEntryBytes);
 }
 
-}  // namespace
+MsgView ViewLog::operator[](std::size_t i) const {
+  const std::uint8_t* e = entries_.data() + i * kEntryBytes;
+  return MsgView{ProcessId{load_le<std::uint32_t>(e + kPeerAt)},
+                 load_le<std::uint64_t>(e + kSeqAt),
+                 load_le<std::uint64_t>(e + kSnAt),
+                 static_cast<MsgKind>(e[kKindAt]), e[kSuspectAt] != 0,
+                 load_le<std::uint64_t>(e + kContamAt)};
+}
 
 std::size_t ViewLog::validate_all() {
   std::size_t changed = 0;
-  for (auto& v : views_) {
-    if (v.suspect) {
-      v.suspect = false;
-      ++changed;
-    }
+  for (std::size_t i = kSuspectAt; i < entries_.size(); i += kEntryBytes) {
+    changed += entries_[i];
+    entries_[i] = 0;
   }
   return changed;
 }
 
 std::size_t ViewLog::validate_covered(MsgSeq watermark) {
   std::size_t changed = 0;
-  for (auto& v : views_) {
-    if (v.suspect && v.contam_sn <= watermark) {
-      v.suspect = false;
+  for (std::size_t i = 0; i < entries_.size(); i += kEntryBytes) {
+    std::uint8_t* e = entries_.data() + i;
+    if (e[kSuspectAt] != 0 && load_le<std::uint64_t>(e + kContamAt) <= watermark) {
+      e[kSuspectAt] = 0;
       ++changed;
     }
   }
@@ -36,15 +44,8 @@ std::size_t ViewLog::validate_covered(MsgSeq watermark) {
 }
 
 void ViewLog::serialize(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(views_.size()));
-  for (const auto& v : views_) {
-    w.u32(v.peer.value());
-    w.u64(v.transport_seq);
-    w.u64(v.sn);
-    w.u8(static_cast<std::uint8_t>(v.kind));
-    w.u8(v.suspect ? 1 : 0);
-    w.u64(v.contam_sn);
-  }
+  w.u32(static_cast<std::uint32_t>(size()));
+  w.bytes_raw(entries_);
 }
 
 ViewLog ViewLog::deserialize(ByteReader& r) {
@@ -52,20 +53,14 @@ ViewLog ViewLog::deserialize(ByteReader& r) {
   const std::uint32_t n = r.u32();
   const std::size_t start = r.position();
   // A log the input cannot hold fails the reader and decodes as empty.
-  r.skip(std::size_t{n} * kEncodedEntryBytes);
+  r.skip(std::size_t{n} * kEntryBytes);
   if (!r.ok()) return log;
-  // Decode straight from the buffer: audits decode ~14k entries a record.
   const std::uint8_t* p = r.underlying().data() + start;
-  log.views_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i, p += kEncodedEntryBytes) {
-    MsgView v;
-    v.peer = ProcessId{load_le<std::uint32_t>(p)};
-    v.transport_seq = load_le<std::uint64_t>(p + 4);
-    v.sn = load_le<std::uint64_t>(p + 12);
-    v.kind = static_cast<MsgKind>(p[20]);
-    v.suspect = p[21] != 0;
-    v.contam_sn = load_le<std::uint64_t>(p + 22);
-    log.add(v);
+  log.entries_.assign(p, p + std::size_t{n} * kEntryBytes);
+  // Any nonzero suspect byte reads as suspect; store it as 1, so a
+  // restored log re-encodes to the bytes a fresh one would.
+  for (std::size_t i = kSuspectAt; i < log.entries_.size(); i += kEntryBytes) {
+    log.entries_[i] = log.entries_[i] != 0;
   }
   return log;
 }

@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/serialize.hpp"
-#include "common/small_vec.hpp"
 #include "common/types.hpp"
 #include "net/message.hpp"
 
@@ -34,9 +33,24 @@ struct MsgView {
 };
 
 /// Append-only log of message views with bulk validation upgrades.
+///
+/// The log lives in its wire form: one buffer of fixed-size little-endian
+/// entries, exactly the bytes a checkpoint records. Serializing is a copy,
+/// validation flips the suspect byte in place, and audits read fields
+/// straight from the buffer (see encoded()).
 class ViewLog {
  public:
-  void add(MsgView view) { views_.push_back(view); }
+  /// Entry layout: peer u32, transport_seq u64, sn u64, kind u8,
+  /// suspect u8 (0 or 1), contam_sn u64.
+  static constexpr std::size_t kPeerAt = 0;
+  static constexpr std::size_t kSeqAt = 4;
+  static constexpr std::size_t kSnAt = 12;
+  static constexpr std::size_t kKindAt = 20;
+  static constexpr std::size_t kSuspectAt = 21;
+  static constexpr std::size_t kContamAt = 22;
+  static constexpr std::size_t kEntryBytes = 30;
+
+  void add(const MsgView& view);
 
   /// A validation event (own AT pass, or accepted passed-AT notification)
   /// upgrades every suspect entry to valid. Returns how many changed.
@@ -46,21 +60,19 @@ class ViewLog {
   /// watermark is covered (contam_sn <= watermark) become valid.
   std::size_t validate_covered(MsgSeq watermark);
 
-  /// Inline-small storage: short logs (the steady state between
-  /// checkpoints) never touch the heap.
-  using Entries = SmallVec<MsgView, 8>;
-  const Entries& entries() const { return views_; }
-  std::size_t size() const { return views_.size(); }
-  void clear() { views_.clear(); }
+  std::size_t size() const { return entries_.size() / kEntryBytes; }
+  /// Entry `i`, decoded.
+  MsgView operator[](std::size_t i) const;
+  /// All entries in their encoded form, kEntryBytes each, in log order.
+  ByteView encoded() const { return entries_; }
 
+  /// Bytes serialize() appends: the u32 count plus the entries.
+  std::size_t encoded_size() const { return 4 + entries_.size(); }
   void serialize(ByteWriter& w) const;
   static ViewLog deserialize(ByteReader& r);
 
  private:
-  /// peer u32, transport_seq u64, sn u64, kind u8, suspect u8, contam u64.
-  static constexpr std::size_t kEncodedEntryBytes = 4 + 8 + 8 + 1 + 1 + 8;
-
-  Entries views_;
+  Bytes entries_;
 };
 
 }  // namespace synergy

@@ -26,7 +26,7 @@ namespace {
 
 // ---- Reference checker: hash indexes rebuilt per call, first entry wins.
 
-using RefIndex = std::unordered_map<std::uint64_t, const MsgView*>;
+using RefIndex = std::unordered_map<std::uint64_t, MsgView>;
 
 std::uint64_t ref_key(ProcessId peer, std::uint64_t transport_seq) {
   return (static_cast<std::uint64_t>(peer.value()) << 48) | transport_seq;
@@ -34,8 +34,9 @@ std::uint64_t ref_key(ProcessId peer, std::uint64_t transport_seq) {
 
 RefIndex ref_index(const ViewLog& log) {
   RefIndex index;
-  for (const auto& v : log.entries()) {
-    index.emplace(ref_key(v.peer, v.transport_seq), &v);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const MsgView v = log[i];
+    index.emplace(ref_key(v.peer, v.transport_seq), v);
   }
   return index;
 }
@@ -43,7 +44,7 @@ RefIndex ref_index(const ViewLog& log) {
 const MsgView* ref_find(const RefIndex& index, ProcessId peer,
                         std::uint64_t transport_seq) {
   auto it = index.find(ref_key(peer, transport_seq));
-  return it == index.end() ? nullptr : it->second;
+  return it == index.end() ? nullptr : &it->second;
 }
 
 std::vector<Violation> ref_consistency(const GlobalState& state) {
@@ -51,7 +52,8 @@ std::vector<Violation> ref_consistency(const GlobalState& state) {
   std::unordered_map<std::uint32_t, RefIndex> sent;
   for (const auto& p : state.processes) sent.emplace(p.id.value(), ref_index(p.sent));
   for (const auto& receiver : state.processes) {
-    for (const auto& e : receiver.recv.entries()) {
+    for (std::size_t i = 0; i < receiver.recv.size(); ++i) {
+      const MsgView e = receiver.recv[i];
       if (e.kind != MsgKind::kInternal) continue;
       const ProcessFacts* sender = state.find(e.peer);
       if (sender == nullptr) continue;
@@ -76,7 +78,8 @@ std::vector<Violation> ref_check_all(const GlobalState& state) {
   for (const auto& sender : state.processes) {
     std::unordered_set<std::uint64_t> unacked;
     for (const auto& m : sender.unacked) unacked.insert(m.transport_seq);
-    for (const auto& e : sender.sent.entries()) {
+    for (std::size_t i = 0; i < sender.sent.size(); ++i) {
+      const MsgView e = sender.sent[i];
       if (e.kind != MsgKind::kInternal) continue;
       const ProcessFacts* receiver = state.find(e.peer);
       if (receiver == nullptr) continue;

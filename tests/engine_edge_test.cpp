@@ -149,8 +149,9 @@ TEST_F(EngineEdgeFixture, WatermarkFiltersStaleDirtyFlags) {
   system_->p2().on_message(covered);
   EXPECT_TRUE(system_->p2().dirty());
   EXPECT_EQ(system_->trace().count(TraceKind::kStaleDirtyIgnored, kP2), 1u);
-  ASSERT_FALSE(system_->p2().recv_views().entries().empty());
-  EXPECT_FALSE(system_->p2().recv_views().entries().back().suspect);
+  const ViewLog& recv = system_->p2().recv_views();
+  ASSERT_GT(recv.size(), 0u);
+  EXPECT_FALSE(recv[recv.size() - 1].suspect);
 
   // The false-alarm dirt is covered, so the next validation event clears
   // it (validation_covers_dirt holds trivially).
@@ -169,7 +170,7 @@ TEST_F(EngineEdgeFixture, WatermarkFiltersStaleDirtyFlags) {
   fresh.contam_sn = 6;
   system_->p2().on_message(fresh);
   EXPECT_TRUE(system_->p2().dirty());
-  EXPECT_TRUE(system_->p2().recv_views().entries().back().suspect);
+  EXPECT_TRUE(recv[recv.size() - 1].suspect);
 }
 
 TEST_F(EngineEdgeFixture, PartialValidationDoesNotClearDirt) {

@@ -71,7 +71,8 @@ TEST_F(AnchorFixture, PrefixValidationPromotesIntermediateAnchor) {
   // ... and it reflects the receipt of A's message with a VALID view
   // (normalization upgraded the frozen suspect flag).
   bool found = false;
-  for (const auto& v : facts.recv.entries()) {
+  for (std::size_t i = 0; i < facts.recv.size(); ++i) {
+    const MsgView v = facts.recv[i];
     if (v.peer == ProcessId{0}) {
       found = true;
       EXPECT_FALSE(v.suspect);
@@ -118,7 +119,8 @@ TEST_F(AnchorFixture, ActiveAnchorsBeforeEverySend) {
   const ProcessFacts facts = general_facts_from_record(*anchor);
   // The anchor reflects send 1 (valid after normalization), not send 2.
   std::size_t sends_to_peer = 0;
-  for (const auto& v : facts.sent.entries()) {
+  for (std::size_t i = 0; i < facts.sent.size(); ++i) {
+    const MsgView v = facts.sent[i];
     if (v.kind == MsgKind::kInternal && v.peer == ProcessId{1}) {
       ++sends_to_peer;
       EXPECT_FALSE(v.suspect);
@@ -159,7 +161,7 @@ TEST_F(AnchorFixture, AnchorRingBoundedUnderSustainedContamination) {
   const auto& anchor = high.latest_volatile();
   ASSERT_TRUE(anchor.has_value());
   const ProcessFacts facts = general_facts_from_record(*anchor);
-  EXPECT_TRUE(facts.recv.entries().empty())
+  EXPECT_EQ(facts.recv.size(), 0u)
       << "promoted anchor must predate all uncovered contamination";
 }
 

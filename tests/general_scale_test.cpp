@@ -206,7 +206,8 @@ TEST_F(RingFixture, RingBoundedAndNewestCoveredCandidatePromotable) {
   ASSERT_TRUE(anchor.has_value());
   const ProcessFacts facts = general_facts_from_record(*anchor);
   std::size_t sends_in_anchor = 0;
-  for (const auto& v : facts.sent.entries()) {
+  for (std::size_t i = 0; i < facts.sent.size(); ++i) {
+    const MsgView v = facts.sent[i];
     if (v.kind == MsgKind::kInternal) {
       ++sends_in_anchor;
       EXPECT_FALSE(v.suspect) << "covered prefix must normalize to VALID";
@@ -238,7 +239,8 @@ TEST_F(RingFixture, FullCoverageAfterEvictionPromotesNewestCandidate) {
   ASSERT_TRUE(anchor.has_value());
   const ProcessFacts facts = general_facts_from_record(*anchor);
   std::size_t sends_in_anchor = 0;
-  for (const auto& v : facts.sent.entries()) {
+  for (std::size_t i = 0; i < facts.sent.size(); ++i) {
+    const MsgView v = facts.sent[i];
     if (v.kind == MsgKind::kInternal) ++sends_in_anchor;
   }
   EXPECT_EQ(sends_in_anchor, 99u);

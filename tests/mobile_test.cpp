@@ -292,8 +292,9 @@ CampaignConfig mobile_campaign() {
 
 TEST(MobileCampaignTest, CommittedMissionSurvivesEpochsAndHandoff) {
   // The committed mobile replay seed: >= 3 disconnection epochs and a
-  // base-station handoff in one mission, clean oracle verdict. Replay:
-  //   synergy chaos --replay 12966619160104079557 --duration 300 \
+  // base-station handoff in one mission, clean oracle verdict. Replay
+  // (one command line):
+  //   synergy chaos --replay 12966619160104079557 --duration 300
   //     --disconnect-gap 90 --disconnect-len 12 --handoff-gap 150
   CampaignConfig config;
   config.mission = Duration::seconds(300);

@@ -132,14 +132,14 @@ TEST(ScenarioValidityViewsTest, ViewsUpgradeOnValidation) {
   script.settle();
   // P2's receipt of m1 is suspect.
   ASSERT_EQ(system.p2().recv_views().size(), 1u);
-  EXPECT_TRUE(system.p2().recv_views().entries()[0].suspect);
+  EXPECT_TRUE(system.p2().recv_views()[0].suspect);
   // After P2's own AT pass, the view upgrades.
   system.p2().on_app_send(true, 2);
-  EXPECT_FALSE(system.p2().recv_views().entries()[0].suspect);
+  EXPECT_FALSE(system.p2().recv_views()[0].suspect);
   script.settle();
   // And P1act's sent view upgrades on the notification.
   ASSERT_GE(system.p1act().sent_views().size(), 1u);
-  EXPECT_FALSE(system.p1act().sent_views().entries()[0].suspect);
+  EXPECT_FALSE(system.p1act().sent_views()[0].suspect);
 }
 
 }  // namespace

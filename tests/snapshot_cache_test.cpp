@@ -190,6 +190,21 @@ TEST_F(SnapshotCacheFixture, CorruptionAndRestoreInvalidate) {
   expect_records_fresh("restore_from_record");
 }
 
+TEST_F(SnapshotCacheFixture, ProtocolSnapshotIsSizedExactly) {
+  build();
+  c1_send(false);
+  c1_send(false);
+  settle();
+  ASSERT_GT(system_->p1sdw().suppressed_log().size(), 0u);
+  // Every role's snapshot reserves its exact encoded size up front: a
+  // short reservation would reallocate and leave spare capacity.
+  for (ProcessId p : {kP1Act, kP1Sdw, kP2}) {
+    const Bytes snap = system_->node(p).engine().snapshot_protocol_state();
+    ASSERT_GT(snap.size(), 0u);
+    EXPECT_EQ(snap.capacity(), snap.size()) << "P" << p.value();
+  }
+}
+
 TEST_F(SnapshotCacheFixture, TakeoverInvalidates) {
   build();
   c1_send(false);  // shadow logs a suppressed message (serialized role state)

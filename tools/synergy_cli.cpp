@@ -12,8 +12,8 @@
 //   synergy run --scheme coordinated --duration 3600 --hw-fault 1800:2
 //   synergy run --sw-error 900 --timeline
 //   synergy run --scheme naive --seed 7 --check --trace-csv trace.csv
-//   synergy sweep --schemes coordinated,mdcd_only --fault-scales 1,2,4 \
-//       --reps 100 --duration 60 --jobs 0 --out sweep.json
+//   synergy sweep --schemes coordinated,mdcd_only --fault-scales 1,2,4
+//       --reps 100 --duration 60 --jobs 0 --out sweep.json   (one line)
 //   synergy sweep ... --shard 2/3 --out frag2.json
 //   synergy sweep --merge frag1.json frag2.json frag3.json --out full.json
 //   synergy rollback --rates 60,100,140,200 --reps 40 > fig7.csv
